@@ -8,9 +8,12 @@ cache.  Shape checks:
 * every verdict matches the design's expectation in all three modes;
 * the warm-cache rerun answers entirely from cache and is at least an
   order of magnitude faster than the sequential baseline;
-* on a multi-core host the parallel batch beats the sequential one
-  (skipped on single-core runners, where racing costs more than it
-  saves — there is nothing to fan out onto).
+* on a host with two or more CPUs the parallel batch takes at most 3x
+  the sequential wall, both measured in the same run: losers are
+  cancelled mid-solve, so racing costs pool start-up and a little
+  contention, not a full losing BMC run per property;
+* on a host with four or more CPUs the parallel batch beats the
+  sequential one.
 """
 
 import os
@@ -39,6 +42,11 @@ def test_e7_portfolio(benchmark):
     assert int(cached[5]) > 0, "warm rerun produced no cache hits"
     assert float(cached[1]) < float(sequential[1]) / 10
 
-    if (os.cpu_count() or 1) >= 4:
+    cpus = os.cpu_count() or 1
+    if cpus >= 2:
+        assert float(parallel[1]) <= 3 * float(sequential[1]), \
+            "racing should cost at most 3x the sequential wall: are " \
+            "losing attempts still running to their bound?"
+    if cpus >= 4:
         assert float(parallel[1]) < float(sequential[1]), \
             "parallel portfolio should beat sequential on a multi-core host"

@@ -209,24 +209,24 @@ class LocalDispatcher:
 
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
         stats_before = replace(self.cache.stats)
-        scheduler = PortfolioScheduler(jobs=self.jobs,
-                                       strategies=self.strategies,
-                                       cache=self.cache)
         outcomes: dict[tuple[str, str], DispatchOutcome] = {}
         dispatched = sum(len(j.choice.specs) for j in pool)
 
-        for outcome in scheduler.stream([j.task for j in pool]):
-            outcomes[(outcome.tag, outcome.property_name)] = \
-                _from_portfolio(outcome)
-
-        rerun = fallback_jobs(pool, outcomes)
-        if rerun:
-            dispatched += sum(len(j.choice.pruned) for j in rerun)
-            tasks = [replace(j.task, strategies=j.full_specs)
-                     for j in rerun]
-            for outcome in scheduler.stream(tasks):
+        # One worker pool serves the first pass and the fallback rerun.
+        with PortfolioScheduler(jobs=self.jobs, strategies=self.strategies,
+                                cache=self.cache) as scheduler:
+            for outcome in scheduler.stream([j.task for j in pool]):
                 outcomes[(outcome.tag, outcome.property_name)] = \
-                    _from_portfolio(outcome, fallback=True)
+                    _from_portfolio(outcome)
+
+            rerun = fallback_jobs(pool, outcomes)
+            if rerun:
+                dispatched += sum(len(j.choice.pruned) for j in rerun)
+                tasks = [replace(j.task, strategies=j.full_specs)
+                         for j in rerun]
+                for outcome in scheduler.stream(tasks):
+                    outcomes[(outcome.tag, outcome.property_name)] = \
+                        _from_portfolio(outcome, fallback=True)
 
         return DispatchResult(
             outcomes=outcomes, dispatched_specs=dispatched,

@@ -22,7 +22,8 @@ the queue's guarded completion.  Backend loss therefore degrades into
 the ordinary crashed-worker path instead of wedging a campaign.
 ``jobs`` sizes the process pool *inside* this worker: one claimed
 job's strategy race fans out across that many local processes
-(``repro-verify worker --jobs N``).
+(``repro-verify worker --jobs N``).  The pool starts with the first
+job that needs it and serves every later job until the worker exits.
 
 Run standalone via ``repro-verify worker --backend SPEC`` (point any
 number of machines/processes at one shared directory or one service
@@ -173,6 +174,7 @@ class Worker:
                          jobs_done=done)
             self._stop_beats.set()
             beats.join(timeout=2.0)
+            self._scheduler.close()
             self.queue.close()
             self.store.close()
         return done
@@ -274,7 +276,7 @@ class Worker:
         task = VerifyTask(scoped, prop, tag=spec.design,
                           strategies=spec.specs)
         stats_before = replace(self.cache.stats)
-        outcome = next(iter(self._scheduler.stream([task])))
+        [outcome] = self._scheduler.run([task])
         return JobResult(
             job_id=spec.job_id,
             outcome=DispatchOutcome(

@@ -69,13 +69,15 @@ def houdini_prove(system: TransitionSystem,
     active = list(candidates)
 
     if jobs > 1 and len(active) > 1:
-        scheduler = PortfolioScheduler(
-            jobs=jobs, strategies=("bmc",),
-            strategy_options={"bmc": {"bound": bmc_bound}}, cache=cache)
+        with PortfolioScheduler(
+                jobs=jobs, strategies=("bmc",),
+                strategy_options={"bmc": {"bound": bmc_bound}},
+                cache=cache) as scheduler:
+            outcomes = scheduler.run_batch(system, active,
+                                           lemmas=list(lemmas or []))
         survivors = []
         violated = {}
-        for outcome in scheduler.run_batch(system, active,
-                                           lemmas=list(lemmas or [])):
+        for outcome in outcomes:
             stats.accumulate(outcome.result.stats)
             if outcome.status is Status.VIOLATED:
                 violated[outcome.property_name] = outcome.result.k

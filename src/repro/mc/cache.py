@@ -34,8 +34,7 @@ from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 
-# Every check funnels through run_cached, so one counter here covers
-# the engine, Houdini, and the sequential scheduler path alike.
+# Counted in emit_check_events, which every check path reports through.
 _M_CHECKS = _metrics.counter(
     "repro_checks_total", "model-checking queries by strategy/origin",
     labels=("strategy", "origin"))
@@ -258,14 +257,17 @@ def emit_check_events(system_name: str, prop_name: str,
                       strategy_name: str, result: CheckResult,
                       wall_seconds: float, origin: str,
                       tier: str | None = None) -> None:
-    """Journal one finished check (plus the slow-solve dump when due).
+    """Count and journal one finished check (plus the slow-solve dump
+    when due).
 
-    Shared by both check paths — :func:`run_cached` and the pool
-    workers' :func:`~repro.mc.strategy.run_check_task` — so the event
-    schema cannot drift between them.  Solver-path checks slower than
-    the journal's threshold additionally emit a ``slow_solve`` event
-    carrying the full solver-effort snapshot.
+    Shared by every check path — :func:`run_cached`, the portfolio's
+    cache lookups and :func:`~repro.mc.strategy.run_check_task` — so
+    the event schema and the ``repro_checks_total`` counter cannot
+    drift between them.  Solver-path checks slower than the journal's
+    threshold additionally emit a ``slow_solve`` event carrying the
+    full solver-effort snapshot.
     """
+    _M_CHECKS.labels(strategy_name, origin).inc()
     fields = {"design": system_name, "property": prop_name,
               "strategy": strategy_name, "status": result.status.value,
               "origin": origin, "k": result.k,
@@ -285,6 +287,22 @@ def emit_check_events(system_name: str, prop_name: str,
             effort=result.stats.effort_dict())
 
 
+def cached_check(cache: ResultCache, key: str, system: TransitionSystem,
+                 prop: SafetyProperty, strategy_name: str
+                 ) -> tuple[CheckResult, str] | None:
+    """Look one check up in ``cache``: ``(result, tier)`` on a hit,
+    where ``tier`` is ``"memory"`` or ``"disk"``, and the hit is
+    counted and journalled like a solver run."""
+    disk_before = cache.stats.disk_hits
+    hit = cache.get(key)
+    if hit is None:
+        return None
+    tier = "disk" if cache.stats.disk_hits > disk_before else "memory"
+    emit_check_events(system.name, prop.name, strategy_name, hit, 0.0,
+                      "cache", tier=tier)
+    return hit, tier
+
+
 def run_cached(strategy_spec: str, system: TransitionSystem,
                prop: SafetyProperty, options: Mapping,
                lemmas: list[tuple[E.Expr, int]] | None = None,
@@ -302,15 +320,9 @@ def run_cached(strategy_spec: str, system: TransitionSystem,
     if cache is not None and strategy_cacheable(strategy, resolved):
         key = query_key(system, prop, strategy.name,
                         canonical_options(strategy, resolved), lemmas)
-        disk_before = cache.stats.disk_hits
-        hit = cache.get(key)
+        hit = cached_check(cache, key, system, prop, strategy.name)
         if hit is not None:
-            _M_CHECKS.labels(strategy.name, "cache").inc()
-            tier = "disk" if cache.stats.disk_hits > disk_before \
-                else "memory"
-            emit_check_events(system.name, prop.name, strategy.name,
-                              hit, 0.0, "cache", tier=tier)
-            return hit
+            return hit[0]
     with _tracing.span("check", strategy=strategy.name,
                        property=prop.name) as sp:
         _events.emit("check_start", design=system.name,
@@ -323,7 +335,6 @@ def run_cached(strategy_spec: str, system: TransitionSystem,
             sp.attrs["status"] = result.status.value
         emit_check_events(system.name, prop.name, strategy.name,
                           result, wall, "solver")
-    _M_CHECKS.labels(strategy.name, "solver").inc()
     if cache is not None and key is not None:
         cache.put(key, result)
     return result

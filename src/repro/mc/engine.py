@@ -193,14 +193,15 @@ class ProofEngine:
 
         Each property is cone-of-influence scoped independently, the
         whole batch fans out over ``jobs`` worker processes, and
-        outcomes stream back in completion order.
+        outcomes stream back in completion order; the worker pool is
+        released when the stream ends or is abandoned.
         ``per_prop_strategies`` overrides the race for named properties
         (spec strings with inline options, e.g. per-property depths).
         """
         if isinstance(props, SafetyProperty):
             props = [props]
         scheduler = self._scheduler(jobs, strategies, strategy_options)
-        return scheduler.stream(self._batch_tasks(
+        return _closing_stream(scheduler, self._batch_tasks(
             props, use_lemmas, per_prop_strategies=per_prop_strategies))
 
     def prove_all(self, props: Sequence[SafetyProperty],
@@ -239,3 +240,9 @@ class ProofEngine:
             roots.append(self.system.resolve_defines(good))
         roots.extend(self.system.constraints)
         return cone_of_influence(self.system, roots)
+
+
+def _closing_stream(scheduler: PortfolioScheduler,
+                    tasks: list[VerifyTask]) -> Iterator[PortfolioOutcome]:
+    with scheduler:
+        yield from scheduler.stream(tasks)

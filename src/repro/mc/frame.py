@@ -17,6 +17,7 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.result import ProofStats
 from repro.mc.unroll import Unroller, timed_name
+from repro.sat.cancel import SearchCancelled
 from repro.sat.solver import Solver
 from repro.trace.trace import Trace, TraceKind
 
@@ -117,7 +118,12 @@ class FrameSolver:
 
 
 class StatsTimer:
-    """Context manager measuring wall time into a ProofStats."""
+    """Context manager measuring wall time into a ProofStats.
+
+    A :class:`~repro.sat.cancel.SearchCancelled` leaving the body is
+    stamped with the depth the engine had reached, the one partial
+    effort figure the solver that raised it cannot know.
+    """
 
     def __init__(self, stats: ProofStats):
         self.stats = stats
@@ -127,5 +133,7 @@ class StatsTimer:
         self._start = time.perf_counter()
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.stats.wall_seconds += time.perf_counter() - self._start
+        if isinstance(exc, SearchCancelled):
+            exc.max_depth = max(exc.max_depth, self.stats.max_depth)

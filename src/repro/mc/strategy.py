@@ -310,6 +310,10 @@ class CheckTask:
     #: Trace pointer of the dispatching span, so pool workers parent
     #: their "check" spans under it (None when tracing is off).
     trace: _tracing.TraceContext | None = None
+    #: Index of the shared cancel flag a pool worker watches while it
+    #: runs this task (see :mod:`repro.sat.cancel`); None: not
+    #: cancellable.
+    cancel_slot: int | None = None
 
 
 @_lru_cache(maxsize=None)

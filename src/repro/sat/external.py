@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import SatError
+from repro.sat import cancel as _cancel
 from repro.sat.dimacs import to_dimacs
 from repro.sat.solver import SatStats
 
@@ -60,6 +61,8 @@ SOLVER_CANDIDATES: tuple[tuple[str, str], ...] = (
 
 ENV_BINARY = "REPRO_SAT_BINARY"
 ENV_STYLE = "REPRO_SAT_STYLE"
+#: How often a running binary's wait checks for cancel and timeout.
+_POLL_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,13 @@ class SubprocessSolver:
         ``conflict_budget`` cannot be imposed on an arbitrary binary and
         is ignored; bounded-latency callers get the wall-clock
         ``timeout_s`` instead, whose expiry maps to the same
-        indeterminate None as an exhausted budget.
+        indeterminate None as an exhausted budget.  A cancel request
+        (:mod:`repro.sat.cancel`) kills the binary and raises
+        :class:`~repro.sat.cancel.SearchCancelled`, as the in-process
+        solver does.
         """
         self._model = []
+        _cancel.check(self.stats)
         if not self._ok:
             return False
         clauses = self._clauses
@@ -174,6 +181,9 @@ class SubprocessSolver:
                                          self.timeout_s)
         except subprocess.TimeoutExpired:
             return None
+        except _cancel.SearchCancelled as exc:
+            exc.stats = self.stats
+            raise
         finally:
             self.stats.solve_seconds += time.perf_counter() - started
         if verdict is True:
@@ -223,11 +233,12 @@ def _run_binary(spec: ExternalSolverSpec, dimacs_text: str, num_vars: int,
         else:
             argv = [spec.path, cnf_path]
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout_s,
-                check=False)
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
         except FileNotFoundError:
             raise SatError(f"external solver vanished: {spec.path}")
+        with proc:
+            stdout = _wait_for_binary(proc, timeout_s)
         if spec.style == "file":
             try:
                 with open(out_path, encoding="utf-8") as fp:
@@ -236,7 +247,32 @@ def _run_binary(spec: ExternalSolverSpec, dimacs_text: str, num_vars: int,
                 payload = ""
             return _parse_file_output(spec, proc.returncode, payload,
                                       num_vars)
-        return _parse_stdout(spec, proc.returncode, proc.stdout, num_vars)
+        return _parse_stdout(spec, proc.returncode, stdout, num_vars)
+
+
+def _wait_for_binary(proc: subprocess.Popen, timeout_s: float | None) -> str:
+    """The binary's stdout once it exits.
+
+    Waits in short slices so a cancel request (:mod:`repro.sat.cancel`)
+    or the ``timeout_s`` deadline kills the binary promptly; raises
+    :class:`~repro.sat.cancel.SearchCancelled` or
+    ``subprocess.TimeoutExpired`` after the kill.
+    """
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    while True:
+        try:
+            stdout, _stderr = proc.communicate(timeout=_POLL_SECONDS)
+            return stdout
+        except subprocess.TimeoutExpired:
+            cancelled = _cancel.requested()
+            if not cancelled and (deadline is None
+                                  or time.monotonic() < deadline):
+                continue
+            proc.kill()
+            proc.communicate()
+            if cancelled:
+                raise _cancel.SearchCancelled()
+            raise subprocess.TimeoutExpired(proc.args, timeout_s)
 
 
 def _parse_stdout(spec: ExternalSolverSpec, returncode: int, stdout: str,

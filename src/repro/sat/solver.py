@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 from repro.errors import SatError
 from repro.obs import metrics as _metrics
+from repro.sat import cancel as _cancel
 
 _UNDEF = 2
 
@@ -244,7 +245,13 @@ class Solver:
         None without counting it, so ``stats.conflicts`` grows by
         exactly N on an indeterminate solve and by at most N otherwise.
         A non-positive budget still permits conflict-free solves.
+
+        Inside a cancellable pool task the attempt's cancel flag is
+        polled on entry and once per conflict; a set flag raises
+        :class:`~repro.sat.cancel.SearchCancelled` (see
+        :mod:`repro.sat.cancel`).
         """
+        _cancel.check(self.stats)
         if not self._ok:
             return False
         # Inline DIMACS conversion: assumption lists are long on the
@@ -261,8 +268,10 @@ class Solver:
         self._conflict_limit = None if conflict_budget is None else \
             self.stats.conflicts + max(conflict_budget, 0)
         started = time.perf_counter()
-        result = self._search(assumed)
-        self.stats.solve_seconds += time.perf_counter() - started
+        try:
+            result = self._search(assumed)
+        finally:
+            self.stats.solve_seconds += time.perf_counter() - started
         if _metrics.metrics_enabled():
             st = self.stats
             last = self._published
@@ -314,6 +323,7 @@ class Solver:
                 limit = self._conflict_limit
                 if limit is not None and stats.conflicts >= limit:
                     return None     # budget spent before this conflict
+                _cancel.check(stats)
                 stats.conflicts += 1
                 if not self._trail_lim:
                     self._ok = False

@@ -9,9 +9,13 @@ parsing, model verification, strategy degradation, portfolio racing —
 against a binary whose verdicts are known-good.
 """
 
+import multiprocessing
+import os
 import random
 import stat
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc import PortfolioScheduler, ProofEngine, Status, VerifyTask
 from repro.mc.property import SafetyProperty
+from repro.sat import cancel
 from repro.sat.external import (ExternalSolverSpec, SubprocessSolver,
                                 find_external_solver)
 from repro.sat.solver import Solver
@@ -175,6 +180,40 @@ class TestSubprocessSolver:
         a = ext.add_var()
         ext.add_clause([a])
         assert ext.solve_limited() is None
+
+    def test_cancel_kills_the_binary(self, tmp_path):
+        pid_file = tmp_path / "pid"
+        sleeper = _write_binary(
+            tmp_path, "sleeper",
+            f"#!{sys.executable}\nimport os, time\n"
+            f"open({str(pid_file)!r} + '.tmp', 'w').write(str(os.getpid()))\n"
+            f"os.replace({str(pid_file)!r} + '.tmp', {str(pid_file)!r})\n"
+            f"time.sleep(30)\n")
+        ext = SubprocessSolver(_spec_for(sleeper, "stdout"))
+        a = ext.add_var()
+        ext.add_clause([a])
+        flags = multiprocessing.RawArray("b", 1)
+
+        def cancel_once_running():
+            while not pid_file.exists():
+                time.sleep(0.01)
+            flags[0] = 1
+
+        canceller = threading.Thread(target=cancel_once_running,
+                                     daemon=True)
+        cancel.install(flags)
+        started = time.perf_counter()
+        try:
+            with cancel.watching(0):
+                canceller.start()
+                with pytest.raises(cancel.SearchCancelled) as info:
+                    ext.solve_limited()
+        finally:
+            cancel.install(None)
+        assert time.perf_counter() - started < 10
+        assert info.value.stats is ext.stats
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)  # killed and reaped
 
     def test_no_verdict_is_an_error(self, tmp_path):
         silent = _write_binary(tmp_path, "silent",

@@ -1,14 +1,30 @@
 """Portfolio scheduler: racing, cancellation, streaming, batch APIs."""
 
+import multiprocessing
+import os
+import time
+from dataclasses import dataclass
+
 import pytest
 
-from repro.designs import get_design
+import repro.mc.portfolio as portfolio
+import repro.mc.strategy as strategy_mod
+from repro.campaign import CampaignScheduler, ProofStore
+from repro.campaign.scheduler import LocalDispatcher
+from repro.designs import get_design, select_designs
+from repro.designs.registry import design_names
 from repro.flow import VerificationSession
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc import (PortfolioScheduler, ProofEngine, ResultCache,
                       Status, VerifyTask)
+from repro.mc.cache import query_key
 from repro.mc.property import SafetyProperty
+from repro.mc.strategy import canonical_options, resolve_strategy
+
+#: A refuter that cannot finish in test time: it only ever stops by
+#: being cancelled.
+ENDLESS_BMC = "bmc(bound=10000)"
 
 
 @pytest.fixture
@@ -178,3 +194,120 @@ class TestSessionVerifyAll:
         session.verify_all(jobs=1)
         batch = session.verify_all(jobs=1)
         assert any(o.from_cache for o in batch.outcomes)
+
+
+@dataclass(frozen=True)
+class _CrashStrategy:
+    """Kills the pool worker that runs it."""
+
+    name: str = "crash"
+    can_prove: bool = False
+    can_refute: bool = True
+
+    def run(self, system, prop, lemmas=None):
+        os._exit(1)
+
+
+def _key(system, prop, spec: str) -> str:
+    strategy, options = resolve_strategy(spec)
+    return query_key(system, prop, strategy.name,
+                     canonical_options(strategy, options), [])
+
+
+class TestRealCancellation:
+    def test_running_loser_is_cancelled_mid_solve(self):
+        session = VerificationSession(get_design("sync_counters"))
+        started = time.perf_counter()
+        batch = session.verify_all(properties=["counters_equal"], jobs=2,
+                                   strategies=["k_induction", ENDLESS_BMC])
+        assert time.perf_counter() - started < 10
+        [outcome] = batch.outcomes
+        assert outcome.status is Status.PROVEN
+        assert outcome.strategy.startswith("k_induction")
+        [row] = [r for r in outcome.attempt_log
+                 if r["strategy"] == ENDLESS_BMC]
+        assert row["origin"] == "cancelled"
+        assert row["status"] == ""
+        assert row["wall_seconds"] > 0
+        assert row["effort"]["max_depth"] < 10000
+
+    def test_cancelled_attempt_is_never_cached(self, tmp_path,
+                                               sync_counters_system):
+        store = ProofStore.open(tmp_path)
+        cache = ResultCache(backing=store)
+        prop = _equal_prop(8)
+        strategies = ("k_induction", ENDLESS_BMC)
+        [outcome] = PortfolioScheduler(
+            jobs=2, strategies=strategies,
+            cache=cache).run_batch(sync_counters_system, [prop])
+        assert outcome.status is Status.PROVEN
+        assert outcome.attempt_log[1]["origin"] == "cancelled"
+        winner = _key(sync_counters_system, prop, "k_induction")
+        loser = _key(sync_counters_system, prop, ENDLESS_BMC)
+        assert store.load(winner) is not None
+        assert store.load(loser) is None        # disk tier
+        assert cache.get(loser) is None         # memory tier
+        store.close()
+
+    def test_jobs_do_not_change_verdicts(self):
+        # The designs the portfolio_race benchmark workload races.
+        names = [n for n in design_names()
+                 if n not in ("ecc_pipeline", "fifo_ctrl")]
+        for name in names:
+            design = get_design(name)
+            verdicts = [
+                {o.property_name: o.status for o in
+                 VerificationSession(design).verify_all(jobs=jobs).outcomes}
+                for jobs in (1, 2)]
+            assert verdicts[0] == verdicts[1], name
+
+    def test_pools_do_not_leak(self):
+        VerificationSession(get_design("sync_counters_bug")).verify_all(
+            jobs=2)
+        assert multiprocessing.active_children() == []
+        pool = CampaignScheduler(select_designs(["sync_counters_bug"]),
+                                 ProofStore.in_memory(),
+                                 max_k=3).build_jobs()
+        LocalDispatcher(jobs=2).dispatch(pool)
+        assert multiprocessing.active_children() == []
+
+    def test_one_pool_serves_every_stream(self, monkeypatch,
+                                          sync_counters_system,
+                                          diverging_system):
+        starts = []
+
+        class CountingPool(portfolio.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                starts.append(self)
+
+        monkeypatch.setattr(portfolio, "ProcessPoolExecutor", CountingPool)
+        strategies = ("k_induction(max_k=2)", "bmc(bound=8)")
+        with PortfolioScheduler(jobs=2,
+                                strategies=strategies) as scheduler:
+            [proven] = scheduler.run_batch(sync_counters_system,
+                                           [_equal_prop(8)])
+            [violated] = scheduler.run_batch(diverging_system,
+                                             [_equal_prop(3)])
+        assert proven.status is Status.PROVEN
+        assert violated.status is Status.VIOLATED
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_pool_recovers_from_a_crashed_worker(self, monkeypatch,
+                                                 sync_counters_system):
+        # Registered before the pool forks, so its workers know it.
+        monkeypatch.setitem(strategy_mod._REGISTRY, "crash",
+                            (_CrashStrategy(), {}))
+        prop = _equal_prop(8)
+        with PortfolioScheduler(jobs=2,
+                                strategies=("crash", "bmc(bound=4)")
+                                ) as scheduler:
+            [crashed] = scheduler.run_batch(sync_counters_system, [prop])
+            [proven] = scheduler.run([VerifyTask(
+                sync_counters_system, prop,
+                strategies=("k_induction(max_k=2)", "bmc(bound=4)"))])
+        assert crashed.strategy == "crash"
+        assert "failed in worker" in crashed.result.detail
+        assert proven.status is Status.PROVEN
+        assert multiprocessing.active_children() == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_sat
 from repro.errors import SatError
+from repro.sat import cancel
 from repro.sat.dimacs import parse_dimacs, solver_from_dimacs, to_dimacs
 from repro.sat.solver import Solver, _luby
 
@@ -131,6 +132,53 @@ class TestBudget:
         assert s.solve_limited(conflict_budget=3) is None
         # And without a budget it completes.
         assert s.solve() is False
+
+
+class _FlagSetAfter:
+    """One cancel flag that reads as set from its ``polls+1``-th read."""
+
+    def __init__(self, polls: int):
+        self.polls = polls
+
+    def __getitem__(self, slot: int) -> int:
+        self.polls -= 1
+        return int(self.polls < 0)
+
+
+class TestCancellation:
+    def _cancelled_solve(self, solver, flags):
+        cancel.install(flags)
+        try:
+            with cancel.watching(0):
+                with pytest.raises(cancel.SearchCancelled) as info:
+                    solver.solve()
+        finally:
+            cancel.install(None)
+        return info.value
+
+    def test_flag_is_polled_once_per_conflict(self):
+        s = Solver()
+        _php_clauses(s, 7, 6)
+        # One poll on entry, then one per conflict: the sixth poll
+        # stops the search before its conflict is counted.
+        exc = self._cancelled_solve(s, _FlagSetAfter(5))
+        assert exc.stats is s.stats
+        assert s.stats.conflicts == 4
+        assert s.stats.solve_seconds > 0
+
+    def test_set_flag_stops_on_entry(self):
+        s = Solver()
+        a = s.add_var()
+        s.add_clause([a])
+        exc = self._cancelled_solve(s, [1])
+        assert exc.stats.conflicts == 0
+
+    def test_unwatched_solver_ignores_flags(self):
+        cancel.install([1])
+        try:
+            assert Solver().solve() is True
+        finally:
+            cancel.install(None)
 
 
 def _php_clauses(solver, pigeons, holes, guard=None):
